@@ -3,7 +3,7 @@ GO ?= go
 # Minimum statement coverage (%) for internal/obs enforced by `make cover`.
 OBS_COVER_MIN ?= 80
 
-.PHONY: check build vet fmt test race bench bench-json bench-compare bench-gate cover workload-report advise-report prof-report fuzz noskip lint
+.PHONY: check build vet fmt test race bench bench-json bench-compare bench-gate cover workload-report prof-report fuzz noskip lint
 
 # check is the full gate: build, vet, formatting, the race-enabled test
 # suite, the coverage floor, the no-skip guard on the SLO and wide-event
@@ -29,14 +29,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz hammers the durable-cursor decoders (client tokens and on-disk
-# records): untrusted bytes must never panic, and accepted inputs must
-# round-trip canonically. Go allows one -fuzz pattern per invocation,
-# so each target gets its own run.
+# fuzz hammers every parser that consumes bytes from outside the
+# process: the durable-cursor decoders (client tokens and on-disk
+# records), the SPARQL query parser, and the N-Triples loader. Untrusted
+# input must never panic, and accepted inputs must round-trip
+# canonically. Go allows one -fuzz pattern per invocation, so each
+# target gets its own run.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseToken$$' -fuzztime=$(FUZZTIME) ./internal/cursor/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRecord$$' -fuzztime=$(FUZZTIME) ./internal/cursor/
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/sparql/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseNTriples$$' -fuzztime=$(FUZZTIME) ./internal/rdf/
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
@@ -129,15 +133,6 @@ workload-report:
 PROFDIR ?= bench/profiles
 prof-report:
 	$(GO) run ./cmd/pingprof -dir $(PROFDIR) -top $(TOP)
-
-# advise-report analyzes a workload snapshot (pingd -workload-out, or
-# /workload?format=ndjson) against a persisted store and prints the
-# layout advisor's plan: cold-level merges, join reductions, and the
-# estimated p95 steps-to-first delta. Dry run — rerun cmd/pingadvise
-# with -apply to restructure the store in place.
-STORE ?= store
-advise-report:
-	$(GO) run ./cmd/pingadvise -store $(STORE) -workload $(SNAPSHOT) -top $(TOP)
 
 # noskip guards the SLO and wide-event suites: they back the
 # observability acceptance criteria, so a skipped test (an overeager

@@ -556,37 +556,6 @@ func BenchmarkDictResidentFootprint(b *testing.B) {
 	}
 }
 
-// BenchmarkAdvisorAblation closes the workload loop on the shop dataset:
-// profile the standard workload, apply the advisor's plan (cold-level
-// merges + join reductions) to a copy-on-write store, and replay the hot
-// fingerprints on both layouts. Reports the count-weighted p95
-// steps-to-first-answer before and after — the bench JSON's `advisor`
-// rows come from the same code path (harness.AdvisorAblation).
-func BenchmarkAdvisorAblation(b *testing.B) {
-	s := benchSuite()
-	ds, err := s.Dataset("shop")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var rows []harness.BenchAdvisorRow
-	for i := 0; i < b.N; i++ {
-		rows, err = s.AdvisorAblation(ds)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	for _, row := range rows {
-		switch row.Config {
-		case "unadvised":
-			b.ReportMetric(row.P95StepsToFirst, "p95-steps-before")
-		case "advised":
-			b.ReportMetric(row.P95StepsToFirst, "p95-steps-after")
-		}
-	}
-}
-
 // BenchmarkEngineJoin evaluates a two-pattern join through the engine's
 // packed uint64 join-key path on a skewed graph.
 func BenchmarkEngineJoin(b *testing.B) {

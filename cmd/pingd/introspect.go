@@ -253,9 +253,6 @@ const dashboardHTML = `<!DOCTYPE html>
   <th class="c">objective</th><th class="c">description</th><th>target</th><th class="c">state</th>
   <th>burn 5m</th><th>burn 1h</th><th>burn 30m</th><th>burn 6h</th><th>bad/6h</th>
 </tr></thead><tbody></tbody></table>
-<h2>Layout advisor</h2>
-<div class="cards" id="advcards"></div>
-<div id="advdetail" style="margin-top:.5rem; color:#444;"></div>
 <h2>Top fingerprints by total latency</h2>
 <table id="wl"><thead><tr>
   <th class="c">fingerprint</th><th class="c">canonical</th><th>shape</th><th>count</th>
@@ -308,10 +305,9 @@ function refresh() {
   Promise.all([
     fetch('/stats').then(function (r) { return r.json(); }),
     fetch('/workload?top=15').then(function (r) { return r.json(); }),
-    fetch('/slo').then(function (r) { return r.json(); }),
-    fetch('/advisor').then(function (r) { return r.json(); })
+    fetch('/slo').then(function (r) { return r.json(); })
   ]).then(function (res) {
-    var st = res[0], wl = res[1], sl = res[2], ad = res[3];
+    var st = res[0], wl = res[1], sl = res[2];
     document.getElementById('err').textContent = '';
     var paging = 0;
     (sl.objectives || []).forEach(function (o) { if (o.state === 'page') paging++; });
@@ -343,21 +339,6 @@ function refresh() {
         '<td>' + bad6h + '</td></tr>';
     });
     document.querySelector('#slo tbody').innerHTML = sloRows.join('');
-    var adv = (ad && ad.advice) || {};
-    document.getElementById('advcards').innerHTML =
-      card('hot queries', (adv.hot || []).length) +
-      card('cold levels', (adv.cold_levels || []).length) +
-      card('merges', (adv.merges || []).length) +
-      card('join reductions', (adv.joins || []).length) +
-      card('p95 steps→1st', (adv.p95_steps_to_first_before || 0).toFixed(0)) +
-      card('est. after', (adv.p95_steps_to_first_after || 0).toFixed(0)) +
-      card('applied epochs', (ad && ad.applied) || 0);
-    var detail = [];
-    (adv.merges || []).forEach(function (m) { detail.push('L' + m.from + '→L' + m.into); });
-    (adv.joins || []).forEach(function (j) { detail.push(j.join + ' (−' + j.pruned_subparts + ' subparts)'); });
-    document.getElementById('advdetail').textContent = detail.length
-      ? 'recommends: ' + detail.join(', ') + (ad.computed_at ? '  ·  analyzed ' + ad.computed_at : '')
-      : 'no layout changes recommended' + (ad.computed_at ? '  ·  analyzed ' + ad.computed_at : '');
     var rows = (wl.fingerprints || []).map(function (f) {
       return '<tr><td class="c">' + esc(f.fingerprint) + '</td>' +
         '<td class="c" title="' + esc(f.canonical) + '">' + esc(f.canonical) + '</td>' +

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -85,6 +86,56 @@ func TestWorkloadAggregatesAlphaEquivalent(t *testing.T) {
 	}
 	if len(stats) != 1 || stats[0].Fingerprint != st.Fingerprint {
 		t.Fatalf("NDJSON snapshot %+v, want the same single fingerprint", stats)
+	}
+}
+
+// TestWorkloadTopBounds: ?top=N must bound both response formats, and
+// malformed values must be rejected instead of silently ignored.
+func TestWorkloadTopBounds(t *testing.T) {
+	_, ts, _ := newTestServer(t, serverConfig{})
+
+	for i := 0; i < 3; i++ {
+		qs := fmt.Sprintf(`SELECT * WHERE { ?x <p%d> ?y }`, i)
+		resp, err := http.Get(queryURL(ts.URL, qs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+
+	for _, format := range []string{"", "&format=ndjson"} {
+		resp, err := http.Get(ts.URL + "/workload?top=2" + format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var n int
+		if format == "" {
+			var wl workloadResponse
+			if err := json.Unmarshal(body, &wl); err != nil {
+				t.Fatal(err)
+			}
+			n = len(wl.Fingerprints)
+		} else {
+			n = strings.Count(strings.TrimSpace(string(body)), "\n") + 1
+		}
+		if n != 2 {
+			t.Errorf("top=2%s returned %d fingerprints, want 2", format, n)
+		}
+	}
+
+	for _, bad := range []string{"x", "-1", "5x", "2.5"} {
+		resp, err := http.Get(ts.URL + "/workload?top=" + bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("top=%s: status %d, want 400", bad, resp.StatusCode)
+		}
 	}
 }
 

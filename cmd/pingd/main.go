@@ -18,7 +18,6 @@
 //	GET/POST /explain?q=...   query plan; ?analyze=1 runs it, ?format=text
 //	GET      /workload        per-fingerprint aggregates; ?top=N, ?format=ndjson
 //	GET      /slo             objectives, burn rates, alert states
-//	GET/POST /advisor         layout advisor recommendation; POST ?apply=1 installs it
 //	GET      /traces          retained query trace trees (-trace); ?format=chrome
 //	GET      /resources       top resource consumers by measured cost; ?top=N, ?format=ndjson
 //	GET      /dashboard       live HTML dashboard polling the endpoints above
@@ -40,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -89,10 +89,6 @@ func main() {
 		sloCovPct     = flag.Float64("slo-coverage-target", 0.95, "fraction of budgeted queries that must meet -slo-coverage")
 		sloAvailPct   = flag.Float64("slo-availability-target", 0.999, "fraction of queries that must complete without error or degradation")
 
-		adviseEvery = flag.Duration("advise-interval", 0, "re-run the layout advisor on the live workload this often (0 = off); advice is served at /advisor")
-		adviseTop   = flag.Int("advise-top", 5, "hot fingerprints the advisor optimizes for")
-		adviseApply = flag.Bool("advise-apply", false, "apply advisor recommendations automatically as new epochs (with -advise-interval)")
-
 		adminAddr     = flag.String("admin-addr", "", "serve /metrics, /debug/*, /traces and /resources on this separate listener (empty = everything on -addr)")
 		profileDir    = flag.String("profile-dir", "", "capture CPU+heap profiles continuously into this directory (empty = off)")
 		profileEvery  = flag.Duration("profile-interval", time.Minute, "continuous-profiling cadence (with -profile-dir)")
@@ -138,7 +134,6 @@ func main() {
 		Trace:           *trace,
 		TraceSample:     *traceSample,
 		TraceBuffer:     *traceBuffer,
-		AdviseTop:       *adviseTop,
 		AdmissionCPU:    *admissionCPU,
 	}
 	if *slowLog != "" {
@@ -183,7 +178,6 @@ func main() {
 	logger := log.New(os.Stderr, "pingd: ", log.LstdFlags)
 	srv := newServer(hpart.NewStore(lay), cfg)
 	stopSweeper := srv.startSweeper(*cursorSweep)
-	stopAdvisor := srv.startAdvisor(*adviseEvery, *adviseApply, logger.Printf)
 
 	// Continuous profiling & runtime metrics: the poller exports
 	// runtime_* gauges; the capturer writes CPU+heap profiles on a
@@ -219,7 +213,7 @@ func main() {
 			*profileDir, *profileEvery, *profileWindow, *profileFiles)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.handler(logger.Printf)}
+	httpSrv := &http.Server{Handler: srv.handler(logger.Printf)}
 	var adminSrv *http.Server
 	if *adminAddr != "" {
 		// Production posture: the query surface stays on -addr; metrics,
@@ -227,31 +221,45 @@ func main() {
 		// (typically loopback or an internal interface).
 		public, admin := srv.splitHandlers(logger.Printf)
 		httpSrv.Handler = public
-		adminSrv = &http.Server{Addr: *adminAddr, Handler: admin}
+		adminSrv = &http.Server{Handler: admin}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// Bind before serving so the log names the address actually bound
+	// (with -addr host:0 the kernel picks the port) and a port already
+	// in use fails start-up.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
+	var adminLn net.Listener
+	if adminSrv != nil {
+		if adminLn, err = net.Listen("tcp", *adminAddr); err != nil {
+			fatal(fmt.Errorf("admin listener: %w", err))
+		}
+	}
+	logger.Printf("listening on %s", ln.Addr())
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
+	go func() { errc <- httpSrv.Serve(ln) }()
 	if adminSrv != nil {
 		go func() {
-			if err := adminSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			if err := adminSrv.Serve(adminLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				logger.Printf("admin listener: %v", err)
 			}
 		}()
-		logger.Printf("admin surface (metrics, pprof, traces, resources) on %s", *adminAddr)
+		logger.Printf("admin surface (metrics, pprof, traces, resources) listening on %s", adminLn.Addr())
 	}
 
 	fmt.Printf("serving %d triples (%d levels, epoch %d) on %s\n",
-		lay.TotalTriples(), lay.NumLevels, srv.store.Epoch(), *addr)
+		lay.TotalTriples(), lay.NumLevels, srv.store.Epoch(), ln.Addr())
 	fmt.Printf("try: curl '%s/query?q=SELECT...'   update: curl -XPOST --data-binary @delta.nt '%s/update'\n",
-		*addr, *addr)
+		ln.Addr(), ln.Addr())
 
 	select {
 	case err := <-errc:
-		// Listener failed before any signal (e.g. port in use).
+		// Serving failed before any signal.
 		fatal(err)
 	case <-ctx.Done():
 	}
@@ -275,7 +283,6 @@ func main() {
 		fatal(err)
 	}
 	stopSweeper()
-	stopAdvisor()
 	if n, err := srv.cursors.HibernateAll(); err != nil {
 		logger.Printf("cursor checkpoint: %v", err)
 	} else if n > 0 {

@@ -102,7 +102,6 @@ func TestEndpointContentTypes(t *testing.T) {
 		"/explain":   func() (*http.Response, error) { return http.Get(ts.URL + "/explain?q=" + url.QueryEscape(qs)) },
 		"/workload":  func() (*http.Response, error) { return http.Get(ts.URL + "/workload") },
 		"/slo":       func() (*http.Response, error) { return http.Get(ts.URL + "/slo") },
-		"/advisor":   func() (*http.Response, error) { return http.Get(ts.URL + "/advisor") },
 		"/traces":    func() (*http.Response, error) { return http.Get(ts.URL + "/traces") },
 		"/resources": func() (*http.Response, error) { return http.Get(ts.URL + "/resources") },
 		"/dashboard": func() (*http.Response, error) { return http.Get(ts.URL + "/dashboard") },

@@ -82,9 +82,6 @@ type serverConfig struct {
 	// SLO evaluates the daemon's service-level objectives over the
 	// lineage stream (nil: an engine with the default objectives).
 	SLO *slo.Engine
-	// AdviseTop is how many hot fingerprints the online layout advisor
-	// optimizes for (<=0: the advisor default).
-	AdviseTop int
 	// AdmissionCPU, when positive, turns on cost-based admission: the
 	// estimated CPU cost of all inflight queries (per-fingerprint
 	// measurement from the resource ledger and captured profiles) may
@@ -141,10 +138,6 @@ type server struct {
 	events   *obs.EventLog
 	spans    *obs.AsyncSink
 	slo      *slo.Engine
-
-	// adviser caches the latest layout recommendation served at
-	// /advisor and refreshed by the -advise-interval loop.
-	adviser adviserState
 
 	cursors *cursor.Manager
 	// draining flips on SIGTERM: in-flight runs pause at their next step
@@ -284,7 +277,6 @@ func (s *server) routes() []route {
 		{"/explain", "application/json", true, false, s.handleExplain},
 		{"/workload", "application/json", true, false, s.handleWorkload},
 		{"/slo", "application/json", true, false, s.handleSLO},
-		{"/advisor", "application/json", true, false, s.handleAdvisor},
 		{"/traces", "application/json", true, true, s.handleTraces},
 		{"/resources", "application/json", true, true, s.handleResources},
 		{"/dashboard", "text/html; charset=utf-8", false, false, s.handleDashboard},

@@ -155,6 +155,36 @@ func TestGenerateWorkloadShapesAndSizes(t *testing.T) {
 	}
 }
 
+// TestGenerateWorkloadDeterministic: one seed must fix the workload. The
+// generators pick classes from candidate lists, so those lists must be
+// built in schema order rather than map order, or repeated calls in one
+// process return different queries for the same seed.
+func TestGenerateWorkloadDeterministic(t *testing.T) {
+	for _, nd := range StandardDatasets() {
+		d := nd.Schema.Generate(0.1, 3)
+		cfg := StandardWorkloadConfig(nd.Name, 3)
+		text := func() []string {
+			var out []string
+			for _, lq := range d.GenerateWorkload(cfg, 42).All() {
+				out = append(out, lq.Shape+" "+lq.Query.String())
+			}
+			return out
+		}
+		want := text()
+		for run := 1; run < 3; run++ {
+			got := text()
+			if len(got) != len(want) {
+				t.Fatalf("%s: run %d generated %d queries, run 0 generated %d", nd.Name, run, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: run %d query %d differs:\n%s\nvs run 0:\n%s", nd.Name, run, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestYagoWorkloadHasNoChains(t *testing.T) {
 	cfg := StandardWorkloadConfig("yago", 3)
 	if cfg.Chain != 0 {

@@ -4,15 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"sort"
 	"time"
 
-	"ping/internal/advisor"
-	"ping/internal/hpart"
 	"ping/internal/obs"
 	"ping/internal/ping"
-	"ping/internal/sparql"
-	"ping/internal/workload"
 )
 
 // BenchStep is one PQA slice step of one benchmark query, in the
@@ -69,39 +64,17 @@ type BenchDictRow struct {
 	EQATotalMs      float64 `json:"eqa_total_ms"`
 }
 
-// BenchAdvisorRow is one configuration of the workload-adaptive layout
-// ablation: the workload's hot fingerprints replayed on the layout the
-// partitioner built ("unadvised") and on the layout the advisor
-// restructured from the same workload's profile ("advised" — cold CS
-// levels merged, join-reduction Bloom filters installed).
-type BenchAdvisorRow struct {
-	Config     string `json:"config"` // "unadvised" or "advised"
-	HotQueries int    `json:"hot_queries"`
-	// Merges / JoinReductions / PrunedSubParts describe the applied plan
-	// (zero on the unadvised row).
-	Merges         int `json:"merges"`
-	JoinReductions int `json:"join_reductions"`
-	PrunedSubParts int `json:"pruned_subparts"`
-	// P95StepsToFirst is the count-weighted p95 of the 1-based first
-	// answering step over the hot queries, measured by running them.
-	P95StepsToFirst float64 `json:"p95_steps_to_first"`
-	// MeanStepsToFirst is the count-weighted mean of the same series.
-	MeanStepsToFirst float64 `json:"mean_steps_to_first"`
-	PQATotalMs       float64 `json:"pqa_total_ms"`
-}
-
 // BenchReport is the machine-readable result of one dataset's workload —
 // what pingbench -json-out writes as BENCH_<dataset>.json.
 type BenchReport struct {
-	Dataset      string            `json:"dataset"`
-	Triples      int               `json:"triples"`
-	Levels       int               `json:"levels"`
-	Workers      int               `json:"workers"`
-	Scale        float64           `json:"scale"`
-	Seed         int64             `json:"seed"`
-	Queries      []BenchQuery      `json:"queries"`
-	DictAblation []BenchDictRow    `json:"dict_ablation"`
-	Advisor      []BenchAdvisorRow `json:"advisor,omitempty"`
+	Dataset      string         `json:"dataset"`
+	Triples      int            `json:"triples"`
+	Levels       int            `json:"levels"`
+	Workers      int            `json:"workers"`
+	Scale        float64        `json:"scale"`
+	Seed         int64          `json:"seed"`
+	Queries      []BenchQuery   `json:"queries"`
+	DictAblation []BenchDictRow `json:"dict_ablation"`
 }
 
 // BenchJSON runs the standard workload of one dataset progressively and
@@ -197,165 +170,7 @@ func (s *Suite) BenchJSON(name string) (*BenchReport, error) {
 		}
 		rep.DictAblation = append(rep.DictAblation, row)
 	}
-
-	adv, err := s.AdvisorAblation(b)
-	if err != nil {
-		return nil, err
-	}
-	rep.Advisor = adv
 	return rep, nil
-}
-
-// AdvisorAblation closes the workload loop for one dataset: profile the
-// workload, ask the advisor for a layout plan, apply it copy-on-write to
-// a private store, and measure the hot queries' steps-to-first-answer on
-// both layouts. Returns nil (no section) when the workload yields no hot
-// queries.
-func (s *Suite) AdvisorAblation(b *BuiltDataset) ([]BenchAdvisorRow, error) {
-	prof := workload.NewProfiler(workload.Options{Metrics: obs.NewRegistry()})
-	proc := s.Processor(b, ping.Options{UseBloomPruning: true, Metrics: obs.NewRegistry()})
-	for _, lq := range s.Workload(b).All() {
-		t0 := time.Now()
-		res, err := proc.PQACtx(context.Background(), lq.Query)
-		if err != nil {
-			return nil, err
-		}
-		o := workload.Observation{
-			Latency: time.Since(t0),
-			Steps:   len(res.Steps),
-			Answers: res.Final.Card(),
-		}
-		for _, st := range res.Steps {
-			if st.NewAnswers > 0 {
-				o.StepsToFirstAnswer = st.Step
-				break
-			}
-		}
-		prof.Observe(lq.Query, o)
-	}
-
-	advice, err := advisor.Analyze(b.Layout, prof.Snapshot(), advisor.Config{})
-	if err != nil {
-		return nil, err
-	}
-	if len(advice.Hot) == 0 {
-		return nil, nil
-	}
-	hot := make([]*sparql.Query, 0, len(advice.Hot))
-	counts := make([]int64, 0, len(advice.Hot))
-	for _, h := range advice.Hot {
-		q, err := sparql.Parse(h.Canonical)
-		if err != nil {
-			continue
-		}
-		hot = append(hot, q)
-		counts = append(counts, h.Count)
-	}
-
-	measure := func(config string, lay *hpart.Layout) (BenchAdvisorRow, error) {
-		row := BenchAdvisorRow{Config: config, HotQueries: len(hot)}
-		p := ping.NewProcessor(lay, ping.Options{
-			Context:             s.ctx,
-			UseBloomPruning:     true,
-			DisableSubPartCache: true,
-			Metrics:             obs.NewRegistry(),
-		})
-		steps := make([]int, len(hot))
-		for i, q := range hot {
-			t0 := time.Now()
-			res, err := p.PQACtx(context.Background(), q)
-			if err != nil {
-				return row, err
-			}
-			row.PQATotalMs += ms(time.Since(t0))
-			for _, st := range res.Steps {
-				if st.NewAnswers > 0 {
-					steps[i] = st.Step
-					break
-				}
-			}
-		}
-		row.P95StepsToFirst = weightedQuantileSteps(steps, counts, 0.95)
-		var sum, total float64
-		for i, st := range steps {
-			if st == 0 {
-				continue
-			}
-			sum += float64(st) * float64(counts[i])
-			total += float64(counts[i])
-		}
-		if total > 0 {
-			row.MeanStepsToFirst = sum / total
-		}
-		return row, nil
-	}
-
-	before, err := measure("unadvised", b.Layout)
-	if err != nil {
-		return nil, err
-	}
-	rows := []BenchAdvisorRow{before}
-
-	advised := b.Layout
-	if !advice.Empty() {
-		st := hpart.NewStore(b.Layout)
-		// Hold the pre-advice epoch pinned for the life of the process:
-		// the restructure retires the sub-partition files it rewrote, and
-		// letting the store collect them would pull the storage out from
-		// under the suite's shared cached layout.
-		if _, unpin := st.Pin(); unpin != nil {
-			_ = unpin // deliberately never released
-		}
-		m, err := hpart.NewStoreMaintainer(st)
-		if err != nil {
-			return nil, err
-		}
-		if err := advice.Apply(m); err != nil {
-			return nil, err
-		}
-		advised = st.Current()
-	}
-	after, err := measure("advised", advised)
-	if err != nil {
-		return nil, err
-	}
-	after.Merges = len(advice.Merges)
-	after.JoinReductions = len(advice.Joins)
-	for _, j := range advice.Joins {
-		after.PrunedSubParts += j.PrunedSubParts
-	}
-	return append(rows, after), nil
-}
-
-// weightedQuantileSteps is the count-weighted q-quantile of the measured
-// steps-to-first values, ignoring queries that never answered (step 0).
-func weightedQuantileSteps(steps []int, counts []int64, q float64) float64 {
-	type item struct {
-		v int
-		w int64
-	}
-	var items []item
-	var total int64
-	for i, st := range steps {
-		if st == 0 {
-			continue
-		}
-		items = append(items, item{st, counts[i]})
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].v < items[j].v })
-	threshold := q * float64(total)
-	var cum int64
-	for _, it := range items {
-		cum += it.w
-		if float64(cum) >= threshold {
-			return float64(it.v)
-		}
-	}
-	return float64(items[len(items)-1].v)
 }
 
 // WriteJSON serializes the report, indented, to w.

@@ -69,16 +69,6 @@ type Layout struct {
 	// OI maps each object to the levels where it occurs as an object.
 	OI map[rdf.ID]LevelSet
 
-	// LevelMap remaps logical hierarchy levels to the physical level whose
-	// files actually hold their data. Nil (or an absent entry) means
-	// identity. The layout advisor merges cold adjacent CS levels by
-	// rewriting their files into a shallower level and recording the
-	// remap here, so later maintenance batches keep placing subjects of
-	// the merged CSs at the physical level instead of undoing the merge.
-	// Entries always map downward (physical < logical) and are
-	// normalized: a physical level is never itself remapped.
-	LevelMap map[int]int
-
 	// SubPartRows holds the row count of every sub-partition, used for
 	// join ordering and data-access accounting without touching files.
 	SubPartRows map[SubPartKey]int
@@ -95,11 +85,6 @@ type Layout struct {
 	// blooms holds the optional per-sub-partition membership filters
 	// (§6.2 extension); nil when not built.
 	blooms map[SubPartKey]SubPartBlooms
-	// joins holds the optional workload-advised join-reduction filters
-	// (see joinreduce.go); nil when none are installed. Folded into
-	// Signature because reductions change which sub-partitions a query
-	// schedule visits.
-	joins map[JoinKey]*JoinReduction
 
 	// gen maps a sub-partition to the generation of its backing file;
 	// an absent key means generation 0, the path Partition writes. The
@@ -309,7 +294,6 @@ func (l *Layout) Clone() *Layout {
 		dictBuild:      l.dictBuild,
 		Hierarchy:      l.Hierarchy,
 		NumLevels:      l.NumLevels,
-		LevelMap:       maps.Clone(l.LevelMap),
 		VP:             maps.Clone(l.VP),
 		SI:             maps.Clone(l.SI),
 		OI:             maps.Clone(l.OI),
@@ -319,7 +303,6 @@ func (l *Layout) Clone() *Layout {
 		StoredBytes:    l.StoredBytes,
 		fs:             l.fs,
 		blooms:         maps.Clone(l.blooms),
-		joins:          maps.Clone(l.joins),
 		gen:            maps.Clone(l.gen),
 		epoch:          l.epoch,
 		cache:          l.subPartCache(),
@@ -408,18 +391,6 @@ func (l *Layout) AllLevels() LevelSet {
 		s = s.Add(i)
 	}
 	return s
-}
-
-// PhysLevel resolves a logical hierarchy level to the physical level whose
-// files hold its data (identity unless an advisor merge remapped it).
-func (l *Layout) PhysLevel(level int) int {
-	if l.LevelMap == nil {
-		return level
-	}
-	if p, ok := l.LevelMap[level]; ok {
-		return p
-	}
-	return level
 }
 
 // TotalTriples returns the number of partitioned triples.

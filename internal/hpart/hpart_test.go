@@ -1,10 +1,13 @@
 package hpart
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"ping/internal/columnar"
 	"ping/internal/cs"
 	"ping/internal/dfs"
 	"ping/internal/rdf"
@@ -246,6 +249,44 @@ func TestPersistRoundTrip(t *testing.T) {
 		if len(pairs) != got.SubPartRows[key] {
 			t.Errorf("%v: %d rows vs inventory %d", key, len(pairs), got.SubPartRows[key])
 		}
+	}
+}
+
+// TestLoadRejectsLevelRemapMeta: stores whose meta carries a level remap
+// (columns 7-8, written after a level merge) place subjects at levels
+// the hierarchy does not predict, which maintenance would silently
+// undo. Load must refuse them instead of loading them as plain stores.
+func TestLoadRejectsLevelRemapMeta(t *testing.T) {
+	g := randomGraph(9, 50, 4)
+	fs := dfs.New(dfs.Config{})
+	if _, err := Partition(g, Options{FS: fs}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := fs.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := columnar.DecodeColumns(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(meta) != 7 {
+		t.Fatalf("fresh store wrote %d meta columns, want 7", len(meta))
+	}
+	meta = append(meta, []uint32{3}, []uint32{2}) // logical L3 -> physical L2
+	var buf bytes.Buffer
+	if _, err := columnar.WriteColumns(&buf, meta, columnar.Auto); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(metaPath, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(fs, g.Dict)
+	if err == nil {
+		t.Fatal("Load accepted a 9-column meta")
+	}
+	if !strings.Contains(err.Error(), "9 columns") {
+		t.Errorf("error %q does not name the column count", err)
 	}
 }
 

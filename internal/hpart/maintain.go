@@ -146,148 +146,6 @@ func (m *Maintainer) Apply(add, remove []rdf.Triple) error {
 	return m.apply(add, remove)
 }
 
-// LevelMerge directs the advisor's HCS-style level collapse: every
-// sub-partition of physical level From is rewritten into level Into
-// (Into < From), and From's subjects move with their rows.
-type LevelMerge struct {
-	From int `json:"from"`
-	Into int `json:"into"`
-}
-
-// Restructure applies an advisor recommendation as one batch: the level
-// merges, then — via joinsFn, called on the post-merge layout — a fresh
-// set of join reductions (joinsFn nil skips reductions; returning nil
-// clears them). In snapshot mode the whole batch publishes as a single
-// new epoch, so queries pinned to older epochs (including checkpointed
-// cursors holding leases) are never disturbed; the data itself is
-// unchanged, only its level placement and the reduction metadata.
-func (m *Maintainer) Restructure(merges []LevelMerge, joinsFn func(*Layout) (map[JoinKey]*JoinReduction, error)) error {
-	if len(merges) == 0 && joinsFn == nil {
-		return nil
-	}
-	return m.mutate(func() error {
-		if err := m.mergeLevels(merges); err != nil {
-			return err
-		}
-		if joinsFn != nil {
-			joins, err := joinsFn(m.lay)
-			if err != nil {
-				return err
-			}
-			m.lay.SetJoinReductions(joins)
-			if err := m.lay.SaveJoinReductions(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// mergeLevels rewrites the sub-partitions of every merge source level
-// into its target level and updates SI, OI, VP, the level remap, and the
-// persisted indexes. The CS multiset is untouched — merging changes where
-// a CS's rows live, not which CSs exist.
-func (m *Maintainer) mergeLevels(merges []LevelMerge) error {
-	if len(merges) == 0 {
-		return nil
-	}
-	remap := make(map[int]int, len(merges))
-	for _, mg := range merges {
-		if mg.Into < 1 || mg.From <= mg.Into || mg.From > m.lay.NumLevels {
-			return fmt.Errorf("hpart: bad level merge %d->%d", mg.From, mg.Into)
-		}
-		if _, dup := remap[mg.From]; dup {
-			return fmt.Errorf("hpart: duplicate merge source level %d", mg.From)
-		}
-		remap[mg.From] = mg.Into
-	}
-	// Resolve chained merges (3->2 plus 2->1 is 3->1); From > Into makes
-	// cycles impossible.
-	resolve := func(l int) int {
-		for {
-			t, ok := remap[l]
-			if !ok {
-				return l
-			}
-			l = t
-		}
-	}
-
-	// Move every source sub-partition's rows into its target, batching
-	// appends so each target file is rewritten once. Source order is
-	// sorted for deterministic generation assignment.
-	var sources []SubPartKey
-	for key := range m.lay.SubPartRows {
-		if _, ok := remap[key.Level]; ok {
-			sources = append(sources, key)
-		}
-	}
-	sort.Slice(sources, func(i, j int) bool {
-		if sources[i].Level != sources[j].Level {
-			return sources[i].Level < sources[j].Level
-		}
-		return sources[i].Prop < sources[j].Prop
-	})
-	appends := make(map[SubPartKey][]Pair)
-	var targets []SubPartKey
-	for _, key := range sources {
-		pairs, err := m.lay.ReadSubPartition(key)
-		if err != nil {
-			return err
-		}
-		to := resolve(key.Level)
-		tkey := SubPartKey{Level: to, Prop: key.Prop}
-		if _, seen := appends[tkey]; !seen {
-			targets = append(targets, tkey)
-		}
-		appends[tkey] = append(appends[tkey], pairs...)
-		for _, pr := range pairs {
-			m.decOI(pr.O, key.Level)
-			m.incOI(pr.O, to)
-		}
-		if err := m.writeSubPartition(key, nil); err != nil {
-			return err
-		}
-	}
-	for _, tkey := range targets {
-		rows := appends[tkey]
-		if m.lay.HasSubPartition(tkey) {
-			existing, err := m.lay.ReadSubPartition(tkey)
-			if err != nil {
-				return err
-			}
-			rows = append(existing, rows...)
-		}
-		if err := m.writeSubPartition(tkey, rows); err != nil {
-			return err
-		}
-	}
-
-	// Subjects follow their rows.
-	for s, level := range m.lay.SI {
-		if _, ok := remap[level]; ok {
-			m.lay.SI[s] = resolve(level)
-		}
-	}
-
-	// Compose the new remap onto any existing one so future placements
-	// (see placeSubjects) keep landing on the merged level.
-	nl := make(map[int]int)
-	for l := 1; l <= m.lay.NumLevels; l++ {
-		if p := resolve(m.lay.PhysLevel(l)); p != l {
-			nl[l] = p
-		}
-	}
-	if len(nl) == 0 {
-		nl = nil
-	}
-	m.lay.LevelMap = nl
-
-	m.lay.sig.Store(0)
-	m.recomputeLevelStats()
-	return m.lay.writeIndexes()
-}
-
 // subjectDelta accumulates the per-subject changes of a batch.
 type subjectDelta struct {
 	addByProp map[rdf.ID][]rdf.ID // prop -> objects added
@@ -298,27 +156,21 @@ func (m *Maintainer) apply(add, remove []rdf.Triple) error {
 	if len(add) == 0 && len(remove) == 0 {
 		return nil
 	}
-	return m.mutate(func() error { return m.applyBatch(add, remove) })
-}
-
-// mutate runs one mutation batch under the maintainer's mode discipline.
-// In-place mode runs it directly against the layout. Snapshot mode runs
-// it against a copy-on-write clone of the latest epoch — all file writes
-// inside the batch go to fresh generation names, so nothing the clone
-// does is observable until publish — and publishes the clone on success.
-func (m *Maintainer) mutate(batch func() error) error {
 	if m.store == nil {
-		if err := batch(); err != nil {
+		if err := m.applyBatch(add, remove); err != nil {
 			return err
 		}
 		m.lay.refreshDictSnapshot()
 		return nil
 	}
+	// Snapshot mode: mutate a copy-on-write clone of the latest epoch.
+	// All file writes inside the batch go to fresh generation names, so
+	// nothing the clone does is observable until publish.
 	base := m.lay
 	m.lay = base.Clone()
 	m.retired = nil
 	m.created = make(map[string]bool)
-	if err := batch(); err != nil {
+	if err := m.applyBatch(add, remove); err != nil {
 		// The failed epoch is never published: concurrent queries are
 		// unaffected. Delete the orphaned generation files it wrote and
 		// restore the published layout. The maintainer's CS bookkeeping
@@ -425,9 +277,6 @@ func (m *Maintainer) applyBatch(add, remove []rdf.Triple) error {
 	if h.MaxLevel() > MaxLevels {
 		return fmt.Errorf("hpart: updated hierarchy depth %d exceeds supported %d", h.MaxLevel(), MaxLevels)
 	}
-	// Prune advisor level merges the rebuilt hierarchy invalidated before
-	// the shift detection and placement below consult the map.
-	m.pruneLevelMap(h.MaxLevel())
 
 	moved := make(map[rdf.ID]bool, len(deltas))
 	for s := range deltas {
@@ -445,10 +294,7 @@ func (m *Maintainer) applyBatch(add, remove []rdf.Triple) error {
 		if moved[s] {
 			continue
 		}
-		// SI holds physical levels; compare against the remapped level so
-		// an advisor merge is not mistaken for a hierarchy shift (and
-		// undone) on the next data batch.
-		if newLevel := m.lay.PhysLevel(levelByKey[set.Key()]); newLevel != m.lay.SI[s] {
+		if newLevel := levelByKey[set.Key()]; newLevel != m.lay.SI[s] {
 			moved[s] = true
 			oldLevel := m.lay.SI[s]
 			for _, p := range set.Props() {
@@ -475,26 +321,6 @@ func (m *Maintainer) applyBatch(add, remove []rdf.Triple) error {
 	m.lay.NumLevels = h.MaxLevel()
 	m.recomputeLevelStats()
 	return m.lay.writeIndexes()
-}
-
-// pruneLevelMap drops level-remap entries a hierarchy rebuild made
-// meaningless (logical level no longer exists, or the mapping stopped
-// pointing downward). Subjects already merged stay at their physical
-// level; dropping an entry merely lets a future batch migrate them back
-// to their logical level when it next touches them.
-func (m *Maintainer) pruneLevelMap(maxLevel int) {
-	lm := m.lay.LevelMap
-	if len(lm) == 0 {
-		return
-	}
-	for logical, phys := range lm {
-		if logical > maxLevel || phys >= logical || phys < 1 {
-			delete(lm, logical)
-		}
-	}
-	if len(lm) == 0 {
-		m.lay.LevelMap = nil
-	}
 }
 
 // extractSubjects removes all rows of the delta'd subjects from their old
@@ -562,9 +388,7 @@ func (m *Maintainer) placeSubjects(h *cs.Hierarchy, moved map[rdf.ID]bool, rowsB
 			delete(m.lay.SI, s) // subject vanished entirely
 			continue
 		}
-		// Place at the physical level (honouring advisor merges), never
-		// the raw hierarchy level.
-		level := m.lay.PhysLevel(h.LevelOf(set))
+		level := h.LevelOf(set)
 		m.lay.SI[s] = level
 		for p, objs := range rowsBySubject[s] {
 			key := SubPartKey{Level: level, Prop: p}
@@ -623,7 +447,6 @@ func (m *Maintainer) writeSubPartition(key SubPartKey, rows []Pair) error {
 				}
 			}
 		}
-		lay.invalidateJoins(key.Prop)
 		m.refreshVP(key.Prop)
 		return nil
 	}
@@ -684,7 +507,6 @@ func (m *Maintainer) writeSubPartition(key SubPartKey, rows []Pair) error {
 		// contents are live.
 		lay.invalidateSubPart(key)
 	}
-	lay.invalidateJoins(key.Prop)
 	m.refreshVP(key.Prop)
 	return nil
 }

@@ -3,6 +3,7 @@ package hpart
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"ping/internal/rdf"
@@ -276,5 +277,85 @@ func TestMaintainerPersistedIndexes(t *testing.T) {
 	}
 	if reloaded.NumLevels != m.Layout().NumLevels {
 		t.Errorf("persisted NumLevels = %d, want %d", reloaded.NumLevels, m.Layout().NumLevels)
+	}
+}
+
+// TestBloomRebuildNoFalseNegatives is the maintainer Bloom-rebuild
+// contract: after batches rewrite sub-partitions (with concurrent pinned
+// readers racing the publishes), every resident row is contained in its
+// sub-partition's filters. Run under -race.
+func TestBloomRebuildNoFalseNegatives(t *testing.T) {
+	g := randomGraph(27, 60, 4)
+	lay, err := Partition(g, Options{BuildBlooms: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewStore(lay)
+	m, err := NewStoreMaintainer(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap, release := store.Pin()
+				for _, key := range snap.SubPartitions() {
+					if _, err := snap.ReadSubPartition(key); err != nil {
+						t.Errorf("pinned read %v: %v", key, err)
+						release()
+						return
+					}
+				}
+				release()
+			}
+		}()
+	}
+
+	// Each batch gives an existing subject a new property, moving it to a
+	// new CS and rewriting (rebuilding the filters of) its sub-partitions.
+	for i := 0; i < 4; i++ {
+		add := []rdf.Triple{{
+			S: g.Dict.LookupIRI("http://x/s0"),
+			P: g.Dict.EncodeIRI("http://x/extra" + string(rune('a'+i))),
+			O: g.Dict.EncodeIRI("http://x/oX"),
+		}}
+		if err := m.Apply(add, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	cur := store.Current()
+	if !cur.HasBlooms() {
+		t.Fatal("published epoch lost its blooms")
+	}
+	for _, key := range cur.SubPartitions() {
+		b := cur.Blooms(key)
+		if b == nil {
+			t.Fatalf("no filters for %v after rewrites", key)
+		}
+		pairs, err := cur.ReadSubPartition(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pr := range pairs {
+			if !b.Subjects.Contains(uint64(pr.S)) {
+				t.Fatalf("%v: subject filter false negative for %d", key, pr.S)
+			}
+			if !b.Objects.Contains(uint64(pr.O)) {
+				t.Fatalf("%v: object filter false negative for %d", key, pr.O)
+			}
+		}
 	}
 }

@@ -80,17 +80,11 @@ func (l *Layout) writeIndexes() error {
 		return err
 	}
 
-	// Meta: hierarchy depth, per-level triple counts (split 64-bit), the
-	// sub-partition inventory with row counts and file generations
+	// Meta: hierarchy depth, per-level triple counts (split 64-bit), and
+	// the sub-partition inventory with row counts and file generations
 	// (column 6; layouts written before epoch support omit it and load
-	// as all-zero generations), and the advisor's level remap as
-	// (logical, physical) pairs (columns 7-8; absent on layouts written
-	// before level merging, which load with an identity map).
-	cols := 7
-	if len(l.LevelMap) > 0 {
-		cols = 9
-	}
-	meta := make([][]uint32, cols)
+	// as all-zero generations).
+	meta := make([][]uint32, 7)
 	meta[0] = []uint32{uint32(l.NumLevels)}
 	for _, n := range l.LevelTriples {
 		meta[1] = append(meta[1], uint32(uint64(n)&0xffffffff))
@@ -101,12 +95,6 @@ func (l *Layout) writeIndexes() error {
 		meta[4] = append(meta[4], key.Prop)
 		meta[5] = append(meta[5], uint32(rows))
 		meta[6] = append(meta[6], uint32(l.gen[key]))
-	}
-	if cols == 9 {
-		for logical, phys := range l.LevelMap {
-			meta[7] = append(meta[7], uint32(logical))
-			meta[8] = append(meta[8], uint32(phys))
-		}
 	}
 	return write(metaPath, meta)
 }
@@ -174,9 +162,12 @@ func Load(fs *dfs.FS, dict *rdf.Dict) (*Layout, error) {
 	}
 
 	// Pre-epoch stores wrote 6 meta columns (no generations); their
-	// sub-partitions all load as generation 0. Stores without an advisor
-	// level remap wrote 7 (no LevelMap columns).
-	meta, err := read(metaPath, 9, 7, 6)
+	// sub-partitions all load as generation 0. Any other width is
+	// refused. In particular a 9-column meta carries a level remap
+	// (columns 7-8) that placed subjects off their hierarchy level; the
+	// maintainer places every subject at its hierarchy level, so loading
+	// such a store would silently undo the remap on the next update.
+	meta, err := read(metaPath, 7, 6)
 	if err != nil {
 		return nil, err
 	}
@@ -206,15 +197,6 @@ func Load(fs *dfs.FS, dict *rdf.Dict) (*Layout, error) {
 		}
 	}
 	lay.StoredBytes = stored
-	if len(meta) > 8 {
-		if len(meta[7]) != len(meta[8]) {
-			return nil, fmt.Errorf("hpart: malformed level map")
-		}
-		lay.LevelMap = make(map[int]int, len(meta[7]))
-		for i := range meta[7] {
-			lay.LevelMap[int(meta[7][i])] = int(meta[8][i])
-		}
-	}
 
 	vp, err := read(vpPath, 3)
 	if err != nil {
@@ -238,9 +220,6 @@ func Load(fs *dfs.FS, dict *rdf.Dict) (*Layout, error) {
 		lay.OI[oi[0][i]] = joinSet(oi[1][i], oi[2][i])
 	}
 	if err := lay.loadBlooms(); err != nil {
-		return nil, err
-	}
-	if err := lay.loadJoinReductions(); err != nil {
 		return nil, err
 	}
 	lay.refreshDictSnapshot()

@@ -19,29 +19,11 @@ import (
 // and the run must restart from scratch on the current snapshot.
 //
 // The hash is computed once per layout (snapshots are immutable after
-// publish) and cached. Workload-advised join reductions fold into the
-// signature when installed — they change which sub-partitions a schedule
-// visits — while layouts without reductions keep the historical value, so
-// cursors recorded before the advisor existed still validate.
+// publish) and cached.
 func (l *Layout) Signature() uint64 {
 	if s := l.sig.Load(); s != 0 {
 		return s
 	}
-	s := l.BaseSignature()
-	if len(l.joins) > 0 {
-		s ^= l.joinsDigest()
-		if s == 0 {
-			s = 1
-		}
-	}
-	l.sig.Store(s)
-	return s
-}
-
-// BaseSignature is the inventory-only content hash: Signature without the
-// join-reduction fold. SaveJoinReductions stamps persisted reductions
-// with it so Load can detect that the data files changed underneath.
-func (l *Layout) BaseSignature() uint64 {
 	keys := make([]SubPartKey, 0, len(l.SubPartRows))
 	for k := range l.SubPartRows {
 		keys = append(keys, k)
@@ -69,5 +51,6 @@ func (l *Layout) BaseSignature() uint64 {
 	if s == 0 {
 		s = 1 // reserve 0 as "not yet computed"
 	}
+	l.sig.Store(s)
 	return s
 }

@@ -117,12 +117,6 @@ type Options struct {
 	// layout built with hpart.Options.BuildBlooms (or
 	// Layout.BuildBlooms); silently inactive otherwise.
 	UseBloomPruning bool
-	// DisableJoinReduction ignores the layout's workload-advised join
-	// reductions (hpart.JoinReduction) when computing pattern slices.
-	// Reductions are precomputed over the full data at advise time, so
-	// leaving them on never changes answers — this switch exists for
-	// ablation and debugging.
-	DisableJoinReduction bool
 	// FailurePolicy selects FailFast (zero value) or Degrade handling of
 	// unreadable sub-partitions.
 	FailurePolicy FailurePolicy
@@ -435,70 +429,7 @@ func (p *Processor) querySlices(lay *hpart.Layout, q *sparql.Query) [][]hpart.Su
 	for i, pat := range q.Patterns {
 		out[i] = p.patternSlices(lay, pat)
 	}
-	p.applyJoinReductions(lay, q, out)
 	return out
-}
-
-// applyJoinReductions drops candidate sub-partitions the layout's
-// workload-advised join reductions prove irrelevant: when two patterns
-// with concrete predicates share a variable, a pattern-A sub-partition
-// whose rows all miss the B-side join-value filter cannot contribute to
-// any answer of the conjunction (every answer must satisfy both
-// patterns), so it is removed before loading. The reductions were
-// computed over the full data of this very snapshot — filter false
-// positives only retain sub-partitions — so the surviving candidates
-// still contain every answer, and PQA/EQA, EXPLAIN, and safety all go
-// through this one hook and stay mutually consistent.
-func (p *Processor) applyJoinReductions(lay *hpart.Layout, q *sparql.Query, hl [][]hpart.SubPartKey) {
-	if p.opts.DisableJoinReduction || len(lay.JoinReductions()) == 0 || len(q.Patterns) < 2 {
-		return
-	}
-	dv := lay.DictView()
-	props := make([]rdf.ID, len(q.Patterns))
-	for i, pat := range q.Patterns {
-		props[i] = rdf.NoID
-		if pat.P.IsConcrete() {
-			props[i] = dv.Lookup(pat.P)
-		}
-	}
-	// roles lists the join columns a variable occupies in a pattern.
-	roles := func(pat sparql.TriplePattern, v string) []byte {
-		var out []byte
-		if pat.S.IsVar() && pat.S.Value == v {
-			out = append(out, hpart.JoinSubject)
-		}
-		if pat.O.IsVar() && pat.O.Value == v {
-			out = append(out, hpart.JoinObject)
-		}
-		return out
-	}
-	for i, patA := range q.Patterns {
-		if props[i] == rdf.NoID || len(hl[i]) == 0 {
-			continue
-		}
-		for j, patB := range q.Patterns {
-			if j == i || props[j] == rdf.NoID {
-				continue
-			}
-			for _, v := range patA.Vars() {
-				for _, ra := range roles(patA, v) {
-					for _, rb := range roles(patB, v) {
-						key := hpart.JoinKey{PropA: props[i], PropB: props[j], RoleA: ra, RoleB: rb}
-						if lay.JoinReductions()[key] == nil {
-							continue
-						}
-						kept := hl[i][:0]
-						for _, sk := range hl[i] {
-							if !lay.JoinPruned(key, sk) {
-								kept = append(kept, sk)
-							}
-						}
-						hl[i] = kept
-					}
-				}
-			}
-		}
-	}
 }
 
 // PathPatternSlices computes the candidate sub-partitions of a property-

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ping/internal/engine"
-	"ping/internal/hpart"
 	"ping/internal/obs"
 	"ping/internal/sparql"
 )
@@ -220,26 +219,15 @@ func TestAnalyzeJoinsNestUnderCallerTrace(t *testing.T) {
 }
 
 // TestAnalyzePredictedCoversActual audits the plan's per-step
-// PredictedRows against Bloom- and join-reduction-pruned candidate
-// lists: the prediction is the row total of exactly the sub-partitions
-// the run will load, so with every pruning layer on it must stay an
-// upper bound on (and here: equal to) each step's actual rows. A
-// prediction below actuals would mean the plan and the executor disagree
-// about the candidate set.
+// PredictedRows against Bloom-pruned candidate lists: the prediction is
+// the row total of exactly the sub-partitions the run will load, so with
+// pruning on it must stay an upper bound on (and here: equal to) each
+// step's actual rows. A prediction below actuals would mean the plan and
+// the executor disagree about the candidate set.
 func TestAnalyzePredictedCoversActual(t *testing.T) {
 	for seed := int64(50); seed < 53; seed++ {
 		g := nestedGraph(seed, 60, 5)
 		lay := bloomLayout(t, g)
-		// Install a join reduction so querySlices prunes for both layers.
-		p0 := g.Dict.LookupIRI("p0")
-		p1 := g.Dict.LookupIRI("p1")
-		key := hpart.JoinKey{PropA: p0, PropB: p1, RoleA: hpart.JoinSubject, RoleB: hpart.JoinSubject}
-		red, err := lay.BuildJoinReduction(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lay.SetJoinReductions(map[hpart.JoinKey]*hpart.JoinReduction{key: red})
-
 		proc := NewProcessor(lay, Options{UseBloomPruning: true})
 		for _, qs := range testQueries {
 			q := sparql.MustParse(qs)
@@ -262,8 +250,7 @@ func TestAnalyzePredictedCoversActual(t *testing.T) {
 			if predicted < actual {
 				t.Errorf("seed %d %q: total predicted %d < actual %d", seed, qs, predicted, actual)
 			}
-			// The answers must still match the oracle with both pruning
-			// layers active.
+			// The answers must still match the oracle with pruning active.
 			oracle := answerSet(engine.Naive(g, q).Distinct())
 			rel, _, err := proc.EQA(q)
 			if err != nil {

@@ -371,8 +371,8 @@ func (p *Profiler) Snapshot() []FingerprintStats {
 	// Fully deterministic order: total time desc, then count desc, then
 	// fingerprint asc. The count tie-break matters for replayed NDJSON
 	// workloads whose recorded latencies collide (often all zero), where
-	// the advisor and /workload?top=N must pick the same hot set on every
-	// run.
+	// /workload?top=N and pingworkload -top must pick the same hot set on
+	// every run.
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].TotalMs != out[j].TotalMs {
 			return out[i].TotalMs > out[j].TotalMs

@@ -308,9 +308,8 @@ func TestResumedLineageCountsOnce(t *testing.T) {
 // TestSnapshotDeterministicOrder is the regression for replayed NDJSON
 // workloads, where every latency is zero and total-latency ordering
 // degenerates: colliding (TotalMs, Count) pairs must still come out in a
-// stable order (count descending, then fingerprint), so the advisor's
-// "top K" hot set does not change between two snapshots of the same
-// profile.
+// stable order (count descending, then fingerprint), so a "top K" hot
+// set does not change between two snapshots of the same profile.
 func TestSnapshotDeterministicOrder(t *testing.T) {
 	mk := func() *Profiler {
 		p := NewProfiler(Options{Metrics: obs.NewRegistry()})
